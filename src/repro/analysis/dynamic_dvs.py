@@ -3,7 +3,8 @@
 * :func:`run_table1` runs every benchmark through both the fixed
   voltage-scaling baseline and the proposed closed-loop DVS system at the two
   corners of Table 1 and reports per-benchmark energy gains and average error
-  rates, plus the suite-wide totals.
+  rates, plus the suite-wide totals.  Each benchmark is generated and
+  classified once; its statistics replay at every corner.
 * :func:`run_fig8` runs the ten benchmarks back to back (starting at the
   nominal supply) and returns the supply-voltage and instantaneous error-rate
   time series of Fig. 8, together with the benchmark region boundaries.
@@ -138,69 +139,62 @@ class Table1Result:
 
 
 def _run_benchmark_streamed(
-    bus: CharacterizedBus,
-    system: DVSBusSystem,
+    systems: Sequence[DVSBusSystem],
     workload: BusTrace | TraceSource,
     warmup_fraction: float,
     chunk_cycles: int | None,
     progress,
-    engine: str | None = None,
-    jobs: int | None = None,
-    scheduler: "ParallelChunkScheduler" | None = None,
-) -> tuple[FixedScalingResult, DVSRunResult]:
-    """One pass over a workload feeding both Table 1 columns.
+    engine: str | None,
+    scheduler: "ParallelChunkScheduler" | None,
+) -> list[tuple[FixedScalingResult, DVSRunResult]]:
+    """One pass over a workload feeding both Table 1 columns at every corner.
 
-    The same chunk statistics drive the closed loop and accumulate the
-    summary the fixed-VS baseline (and both nominal references) are computed
-    from, so a 10 M-cycle benchmark is generated and analysed exactly once.
-    Under the parallel engine the shared pass is the fan-out statistics pass:
-    its per-segment summaries both replay the closed loop and merge into the
-    fixed-VS reduction -- still one analysis of the trace, bit-identical to
-    the serial pass.
+    Per-cycle coupling classes depend only on the trace and the wiring
+    topology, never on the corner, so the workload is generated and analysed
+    exactly once: each chunk's statistics advance every corner's closed loop
+    and accumulate the one summary from which each corner's fixed-VS
+    baseline (and both nominal references) are computed.  With a
+    ``scheduler`` the shared pass is the parallel engine's fan-out statistics
+    pass, whose per-segment summaries replay every corner's loop -- the
+    control segments depend only on window, ramp and warm-up, which all
+    corners share.  Returns one ``(fixed, dvs)`` pair per system, in order.
     """
     source = as_trace_source(workload)
     total = source.n_cycles
     warmup = int(warmup_fraction * total)
-    state = system.stream(total, warmup_cycles=warmup)
+    states = [system.stream(total, warmup_cycles=warmup) for system in systems]
     accumulator = TraceStatisticsAccumulator()
-    parallel = (
-        scheduler is not None
-        or (jobs is not None and jobs > 1)
-        or resolve_engine(engine) == ENGINE_PARALLEL
-    )
-    if parallel:
-        from repro.runtime.parallel import ParallelChunkScheduler
-
-        own = scheduler is None
-        sched = (
-            scheduler
-            if scheduler is not None
-            else ParallelChunkScheduler(n_workers=jobs if jobs is not None else 1)
+    bus = systems[0].bus
+    if scheduler is not None:
+        segmenter = systems[0].control_segmenter(total, warmup_cycles=warmup)
+        assert all(
+            system.control_segmenter(total, warmup_cycles=warmup) == segmenter
+            for system in systems
+        ), "corners must share the control segmentation"
+        summaries = scheduler.segment_summaries(
+            source,
+            segmenter,
+            bus.design.topology,
+            engine=engine,
+            chunk_cycles=chunk_cycles,
+            progress=progress,
         )
-        try:
-            summaries = sched.segment_summaries(
-                source,
-                system.control_segmenter(total, warmup_cycles=warmup),
-                bus.design.topology,
-                engine=engine,
-                chunk_cycles=chunk_cycles,
-                progress=progress,
-            )
-        finally:
-            if own:
-                sched.close()
         for summary in summaries:
             accumulator.merge_summary(summary)
-            state.feed_summary(summary)
+            for state in states:
+                state.feed_summary(summary)
     else:
         for stats, _ in bus.iter_statistics(source, chunk_cycles, engine=engine):
             accumulator.accumulate(stats)
-            state.feed(stats)
+            for state in states:
+                state.feed(stats)
             if progress is not None:
-                progress(state.cycles_fed, total)
-    dvs = state.finish()
-    fixed = evaluate_fixed_scaling(bus, accumulator.summary())
-    return fixed, dvs
+                progress(states[0].cycles_fed, total)
+    summary = accumulator.summary()
+    return [
+        (evaluate_fixed_scaling(system.bus, summary), state.finish())
+        for system, state in zip(systems, states)
+    ]
 
 
 def run_table1(
@@ -219,6 +213,11 @@ def run_table1(
     order: Sequence[str] | None = None,
 ) -> Table1Result:
     """Reproduce Table 1: fixed VS vs the proposed DVS, per benchmark and corner.
+
+    The benchmark loop is outside, the corner loop inside: coupling classes
+    depend only on the trace and the bus topology, so each benchmark is
+    walked once and every chunk (or segment summary) feeds every corner's
+    closed loop and one shared fixed-VS reduction.
 
     Parameters
     ----------
@@ -256,7 +255,7 @@ def run_table1(
     jobs:
         Worker processes for the parallel engine (``jobs > 1`` implies
         ``engine="parallel"``).  One worker pool is created for the whole
-        table and reused across every benchmark x corner cell.
+        table and reused for every benchmark's pass.
     order:
         Row order of the table; defaults to the paper's
         :data:`~repro.trace.benchmarks.TABLE1_ORDER` (names absent from
@@ -271,57 +270,47 @@ def run_table1(
     if order is None:
         order = TABLE1_ORDER
 
+    systems = [
+        DVSBusSystem(
+            CharacterizedBus(design, corner),
+            policy=policy,
+            window_cycles=window_cycles,
+            ramp_delay_cycles=ramp_delay_cycles,
+        )
+        for corner in corners
+    ]
+    assert all(
+        system.bus.design.topology is design.topology for system in systems
+    ), "corners must share the bus topology"
+
     # One persistent worker pool for the whole table: fork/start-up costs are
-    # paid once, every benchmark x corner cell reuses the same workers.
+    # paid once, every benchmark's pass reuses the same workers.
     scheduler: "ParallelChunkScheduler" | None = None
     if (jobs is not None and jobs > 1) or resolve_engine(engine) == ENGINE_PARALLEL:
         from repro.runtime.parallel import ParallelChunkScheduler
 
         scheduler = ParallelChunkScheduler(n_workers=jobs if jobs is not None else 1)
 
+    runs: list[list[tuple[str, FixedScalingResult, DVSRunResult]]] = [[] for _ in systems]
     try:
-        corner_results = _run_table1_corners(
-            design=design,
-            workloads=workloads,
-            corners=corners,
-            warmup_fraction=warmup_fraction,
-            policy=policy,
-            window_cycles=window_cycles,
-            ramp_delay_cycles=ramp_delay_cycles,
-            chunk_cycles=chunk_cycles,
-            engine=engine,
-            order=order,
-            scheduler=scheduler,
-        )
+        for name in order:
+            if name not in workloads or not systems:
+                continue
+            progress = _auto_progress(
+                as_trace_source(workloads[name]).n_cycles, label=f"table1 {name}"
+            )
+            results = _run_benchmark_streamed(
+                systems, workloads[name], warmup_fraction, chunk_cycles, progress,
+                engine=engine, scheduler=scheduler,
+            )
+            for cells, (fixed, dvs) in zip(runs, results):
+                cells.append((name, fixed, dvs))
     finally:
         if scheduler is not None:
             scheduler.close()
-    return Table1Result(corners=tuple(corner_results), n_cycles_per_benchmark=n_cycles)
 
-
-def _run_table1_corners(
-    design: BusDesign,
-    workloads: WorkloadMapping,
-    corners: Sequence[PVTCorner],
-    warmup_fraction: float,
-    policy: ControlPolicy | None,
-    window_cycles: int,
-    ramp_delay_cycles: int,
-    chunk_cycles: int | None,
-    engine: str | None,
-    order: Sequence[str],
-    scheduler: "ParallelChunkScheduler" | None,
-) -> list[Table1CornerResult]:
-    """The per-corner benchmark loop of :func:`run_table1`."""
     corner_results: list[Table1CornerResult] = []
-    for corner in corners:
-        bus = CharacterizedBus(design, corner)
-        system = DVSBusSystem(
-            bus,
-            policy=policy,
-            window_cycles=window_cycles,
-            ramp_delay_cycles=ramp_delay_cycles,
-        )
+    for corner, cells in zip(corners, runs):
         rows: list[Table1Row] = []
         fixed_energy_total = 0.0
         fixed_reference_total = 0.0
@@ -329,17 +318,7 @@ def _run_table1_corners(
         dvs_reference_total = 0.0
         error_cycles_total = 0
         cycles_total = 0
-        for name in order:
-            if name not in workloads:
-                continue
-            progress = _auto_progress(
-                as_trace_source(workloads[name]).n_cycles,
-                label=f"table1 {name}@{corner.label}",
-            )
-            fixed, dvs = _run_benchmark_streamed(
-                bus, system, workloads[name], warmup_fraction, chunk_cycles, progress,
-                engine=engine, scheduler=scheduler,
-            )
+        for name, fixed, dvs in cells:
             rows.append(
                 Table1Row(
                     benchmark=name,
@@ -369,7 +348,7 @@ def _run_table1_corners(
                 total_dvs_error_rate=(error_cycles_total / cycles_total) if cycles_total else 0.0,
             )
         )
-    return corner_results
+    return Table1Result(corners=tuple(corner_results), n_cycles_per_benchmark=n_cycles)
 
 
 @dataclass(frozen=True)

@@ -694,6 +694,12 @@ class WorkQueue:
         with self._lock:
             if self._closed:
                 raise QueueClosedError("queue is shutting down; submission rejected")
+            active = self._active_by_key.get(key)
+            if active is None and cached is None and read_cache and self._cache is not None:
+                # The job may have finished between the read above and the
+                # lock.  A job puts its result before it leaves
+                # _active_by_key, so a second read under the lock sees it.
+                cached = self._cache.get(key)
             if cached is not None and "result" in cached:
                 self._counters["cache_hits"] += 1
                 telemetry.count("workqueue.cache_hits")
@@ -707,7 +713,6 @@ class WorkQueue:
                 # event queue: non-blocking, no subscriber code runs here.
                 handle._push(self._result_event(job))  # repro: noqa[LCK003]
                 return handle
-            active = self._active_by_key.get(key)
             if active is not None:
                 self._check_quota(client)
                 handle = JobHandle(self, active, client)

@@ -28,7 +28,7 @@ from repro.runtime.workqueue import (
 )
 from repro.telemetry import Telemetry, use_telemetry
 
-from tests.server.conftest import Gate, echo_job, gated_fn, spec
+from tests.server.conftest import FakeClock, Gate, echo_job, gated_fn, spec
 
 
 # --------------------------------------------------------------------------- #
@@ -98,6 +98,37 @@ def test_deduped_attachment_replays_started_event(make_queue):
     kinds = [event["event"] for event in second.events(timeout=5)]
     assert kinds == ["started", "result"]
     first.result(timeout=5)
+
+
+def test_finish_between_cache_read_and_lock_executes_once(make_queue, tmp_path):
+    # submit() reads the cache, then the clock, then takes the lock.  Once
+    # armed, the clock read finishes the gated job -- cache.put, then leave
+    # the active map -- so the duplicate submit holds a stale cache miss and
+    # finds no active job: the interleaving that used to execute twice.
+    gate = Gate()
+
+    class FinishBeforeLock(FakeClock):
+        armed: threading.Thread | None = None
+
+        def __call__(self) -> float:
+            if self.armed is threading.current_thread():
+                self.armed = None
+                gate.release.set()
+                first.result(timeout=5)
+            return super().__call__()
+
+    clock = FinishBeforeLock()
+    cache = ResultCache(tmp_path / "cache")
+    queue = make_queue(gated_fn(gate), n_workers=1, cache=cache, clock=clock)
+    first = queue.submit(spec(x=4))
+    gate.wait_started()
+    clock.armed = threading.current_thread()
+    second = queue.submit(spec(x=4))
+    assert clock.armed is None, "the clock hook never ran"
+    assert queue.wait_idle(timeout=5)
+    stats = queue.stats()
+    assert stats["executed"] == 1 and stats["cache_hits"] == 1
+    assert second.cached and second.result(timeout=5) == first.result()
 
 
 def test_dedupe_does_not_apply_across_completion(make_queue):
