@@ -95,38 +95,22 @@ def _unlink_quiet(name: str) -> None:
         pass
 
 
-def _atomic_write_bytes(path: Path, payload: bytes, attempts: int = 5) -> None:
+def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     """Write ``payload`` to ``path`` atomically (same-directory temp file).
 
-    The bucket directory can vanish between ``mkdir`` and the temp-file
-    create or rename when a concurrent ``clear()`` prunes it, so both steps
-    retry (re-creating the directory) a bounded number of times: a writer
-    racing maintenance still lands its record instead of raising
-    ``FileNotFoundError``.
+    Safe against a concurrent ``clear()`` by construction: maintenance never
+    removes bucket directories or ``.tmp-*`` files, so the temp file and its
+    directory are still there when the rename lands.
     """
-    for attempt in range(attempts):
-        last_try = attempt == attempts - 1
-        try:
-            # mkdir(exist_ok=True) can itself raise FileExistsError when a
-            # concurrent rmdir lands between its EEXIST and is_dir re-check.
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
-        except (FileNotFoundError, FileExistsError):
-            if last_try:
-                raise
-            continue
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-            return
-        except FileNotFoundError:
-            _unlink_quiet(tmp_name)
-            if last_try:
-                raise
-        except BaseException:
-            _unlink_quiet(tmp_name)
-            raise
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp_name, path)
+    except BaseException:
+        _unlink_quiet(tmp_name)
+        raise
 
 
 class ResultCache:
@@ -249,21 +233,20 @@ class ResultCache:
     # Maintenance
     # ------------------------------------------------------------------ #
     def clear(self) -> int:
-        """Delete every record and artifact; returns the number removed."""
+        """Delete every finished record and artifact; returns the number removed.
+
+        Concurrent writers' in-flight ``.tmp-*`` files are skipped and bucket
+        directories (at most 256 per tree) are left in place, so a ``put``
+        racing maintenance always lands.
+        """
         removed = 0
         for subdir in ("objects", "artifacts"):
-            base = self.root / subdir
-            if not base.is_dir():
-                continue
-            for path in sorted(base.glob("*/*")):
+            for path in sorted((self.root / subdir).glob("*/*")):
+                if path.name.startswith(".tmp-"):
+                    continue
                 try:
                     os.unlink(path)
                     removed += 1
-                except OSError:
-                    pass
-            for bucket in sorted(base.glob("*")):
-                try:
-                    bucket.rmdir()
                 except OSError:
                     pass
         return removed

@@ -31,6 +31,9 @@ class _Handler(socketserver.StreamRequestHandler):
     """One connection: read request lines, write response lines."""
 
     server: "_ThreadingServer"
+    # Responses go out as small line-sized writes (``accepted`` then
+    # ``result``); with Nagle on, the second waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def handle(self) -> None:
         session = self.server.repro_server._new_session()

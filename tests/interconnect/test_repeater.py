@@ -1,15 +1,30 @@
-"""Tests for Elmore coefficients, repeater sizing and technology scaling."""
+"""Tests for Elmore coefficients, repeater sizing and technology scaling.
+
+The sizer's Brent solvers are pure-Python ports of scipy's: golden sizes and
+error paths need nothing beyond the package, and the differential tests hold
+the ports to scipy bit for bit where scipy (a test-only dependency) is
+installed.
+"""
+
+import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.bus import BusDesign
 from repro.circuit.delay_model import DriverDelayModel
-from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER
+from repro.circuit.pvt import STANDARD_CORNERS, TYPICAL_CORNER, WORST_CASE_CORNER
 from repro.clocking import PAPER_CLOCKING
+from repro.interconnect import repeater
 from repro.interconnect.elmore import bus_delay_coefficients, segment_delay_coefficients
 from repro.interconnect.parasitics import extract_parasitics
 from repro.interconnect.repeater import (
+    MAX_REPEATER_SIZE,
     RepeaterChain,
     RepeaterSizingError,
+    _brentq,
+    _minimize_bounded,
     size_for_target_delay,
 )
 from repro.interconnect.scaling import (
@@ -74,8 +89,14 @@ class TestRepeaterSizing:
         assert tight.size > relaxed.size
 
     def test_impossible_target_raises(self, segment, driver_model):
-        with pytest.raises(RepeaterSizingError):
+        with pytest.raises(RepeaterSizingError, match="unreachable"):
             size_for_target_delay(50e-12, 1.2, WORST_CASE_CORNER, segment, driver_model, 4)
+
+    def test_minimum_size_shortcut(self, segment, driver_model):
+        minimum = RepeaterChain(n_segments=4, size=1.0)
+        target = minimum.worst_case_delay(1.2, WORST_CASE_CORNER, segment, driver_model)
+        chain = size_for_target_delay(target, 1.2, WORST_CASE_CORNER, segment, driver_model, 4)
+        assert chain.size == 1.0
 
     def test_delay_improves_at_faster_corner(self, segment, driver_model):
         chain = size_for_target_delay(600e-12, 1.2, WORST_CASE_CORNER, segment, driver_model, 4)
@@ -98,6 +119,121 @@ class TestRepeaterSizing:
             RepeaterChain(n_segments=0, size=10.0)
         with pytest.raises(ValueError):
             RepeaterChain(n_segments=4, size=-1.0)
+
+
+class TestGoldenSizes:
+    """Repeater sizes pinned to the last bit; any solver drift changes a hex digit."""
+
+    @pytest.mark.parametrize(
+        ("kwargs", "size_hex"),
+        [
+            ({}, "0x1.bea526d49e1d8p+4"),
+            ({"n_bits": 16, "shield_group": 2}, "0x1.4531a2aa0cfb7p+4"),
+            ({"n_bits": 64, "shield_group": 8}, "0x1.cf8c31fb4f3ddp+4"),
+        ],
+    )
+    def test_bus_design_repeater_size(self, kwargs, size_hex):
+        assert BusDesign.paper_bus(**kwargs).repeaters.size.hex() == size_hex
+
+
+class TestSolverErrorPaths:
+    def test_brentq_rejects_unbracketed_root(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_brentq_reports_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(repeater, "_BRENTQ_MAXITER", 1)
+        with pytest.raises(RuntimeError, match="not converged"):
+            _brentq(lambda x: x - 0.3, 0.0, 1.0)
+
+    def test_brentq_exact_endpoint_root(self):
+        assert _brentq(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+        assert _brentq(lambda x: x - 5.0, 2.0, 5.0) == 5.0
+
+
+def _convex(a: float, c: float, d: float, e: float):
+    """A convex function on x > 0: a quadratic bowl plus d/x plus a linear term."""
+
+    def f(x: float) -> float:
+        x = float(x)
+        return a * (x - c) * (x - c) + d / x + e * x
+
+    return f
+
+
+class TestDifferentialAgainstScipy:
+    """The ports must reproduce scipy's floats exactly, not approximately."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(0.0, 50.0),
+        c=st.floats(-10.0, 700.0),
+        d=st.floats(0.0, 1e4),
+        e=st.floats(-5.0, 5.0),
+        lo=st.floats(0.01, 50.0),
+        width=st.floats(1e-3, 800.0),
+    )
+    def test_minimize_bounded_matches_scipy(self, a, c, d, e, lo, width):
+        optimize = pytest.importorskip("scipy.optimize")
+        f = _convex(a, c, d, e)
+        hi = lo + width
+        reference = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded")
+        x, fx = _minimize_bounded(f, lo, hi)
+        assert (x.hex(), fx.hex()) == (float(reference.x).hex(), float(reference.fun).hex())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.floats(1.0, 1e4),
+        e=st.floats(1e-3, 10.0),
+        fraction=st.floats(0.0, 1.0),
+    )
+    def test_brentq_matches_scipy(self, d, e, fraction):
+        optimize = pytest.importorskip("scipy.optimize")
+        # d/x + e*x decreases on [1, sqrt(d/e)]; pick a target between its ends.
+        f = _convex(0.0, 0.0, d, e)
+        upper = max(math.sqrt(d / e), 1.0 + 1e-6)
+        target = f(upper) + fraction * (f(1.0) - f(upper))
+
+        def g(x):
+            return f(x) - target
+
+        assume(g(1.0) * g(upper) <= 0.0)  # rounding can put both ends on one side
+        assert _brentq(g, 1.0, upper).hex() == optimize.brentq(g, 1.0, upper).hex()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        target=st.floats(560e-12, 2e-9),
+        corner=st.sampled_from(list(STANDARD_CORNERS.values())),
+        max_coupling=st.floats(2.0, 4.5),
+    )
+    def test_sizer_matches_scipy_sizer(self, segment, driver_model, target, corner, max_coupling):
+        """The full sizer against the scipy-based recipe it replaced."""
+        optimize = pytest.importorskip("scipy.optimize")
+
+        def worst_delay(size):
+            chain = RepeaterChain(n_segments=4, size=size)
+            return chain.worst_case_delay(1.2, corner, segment, driver_model, max_coupling)
+
+        best = optimize.minimize_scalar(
+            worst_delay, bounds=(1.0, MAX_REPEATER_SIZE), method="bounded"
+        )
+        if float(best.fun) > target:
+            with pytest.raises(RepeaterSizingError):
+                size_for_target_delay(
+                    target, 1.2, corner, segment, driver_model, 4, max_coupling_factor=max_coupling
+                )
+            return
+        if worst_delay(1.0) <= target:
+            expected = 1.0
+        else:
+            root = float(
+                optimize.brentq(lambda s: worst_delay(s) - target, 1.0, float(best.x))
+            )
+            expected = min(root * 1.002, float(best.x))
+        chain = size_for_target_delay(
+            target, 1.2, corner, segment, driver_model, 4, max_coupling_factor=max_coupling
+        )
+        assert chain.size.hex() == expected.hex()
 
 
 class TestTechnologyScaling:

@@ -151,7 +151,7 @@ class TestConcurrency:
         assert leftovers == []
 
     def test_put_survives_concurrent_clear(self, tmp_path):
-        """A writer racing ``clear()`` re-creates the pruned bucket and wins."""
+        """A writer racing ``clear()`` always lands its record."""
         import threading
 
         cache = ResultCache(tmp_path)
@@ -181,29 +181,34 @@ class TestConcurrency:
         cache.put(key, record)
         assert cache.get(key)["result"] == {"v": 1}
 
-    def test_atomic_write_retries_when_bucket_vanishes(self, tmp_path, monkeypatch):
-        """Deterministic repro of the clear-vs-put gap: prune between steps."""
+    def test_clear_between_mkstemp_and_replace_spares_the_write(self, tmp_path, monkeypatch):
+        """Deterministic clear-vs-put interleaving: ``clear()`` runs mid-write."""
         import os as os_module
 
         from repro.runtime import cache as cache_module
 
         cache = ResultCache(tmp_path)
         key = stable_hash({"task": "t", "params": {"x": 3}})
-        bucket = cache._record_path(key).parent
+        other = stable_hash({"task": "t", "params": {"x": 4}})
+        cache.put(other, {"result": {"v": "old"}})
+        real_mkstemp = cache_module.tempfile.mkstemp
         real_replace = os_module.replace
-        pruned = {"count": 0}
+        calls = {"mkstemp": 0, "replace": 0, "cleared": 0}
 
-        def replace_with_sabotage(src, dst):
-            # Simulate clear() winning the race: the bucket (and the temp
-            # file) disappear right before the rename -- once.
-            if pruned["count"] == 0:
-                pruned["count"] += 1
-                for child in bucket.iterdir():
-                    child.unlink()
-                bucket.rmdir()
+        def counting_mkstemp(*args, **kwargs):
+            calls["mkstemp"] += 1
+            return real_mkstemp(*args, **kwargs)
+
+        def replace_after_clear(src, dst):
+            # The writer's temp file exists; maintenance wins the race to it.
+            calls["replace"] += 1
+            calls["cleared"] += cache.clear()
             return real_replace(src, dst)
 
-        monkeypatch.setattr(cache_module.os, "replace", replace_with_sabotage)
+        monkeypatch.setattr(cache_module.tempfile, "mkstemp", counting_mkstemp)
+        monkeypatch.setattr(cache_module.os, "replace", replace_after_clear)
         cache.put(key, {"result": {"v": "survived"}})
-        assert pruned["count"] == 1
+        assert calls == {"mkstemp": 1, "replace": 1, "cleared": 1}
         assert cache.get(key)["result"] == {"v": "survived"}
+        assert cache.get(other) is None
+        assert list(tmp_path.rglob(".tmp-*")) == []

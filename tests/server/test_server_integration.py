@@ -20,6 +20,7 @@ import pytest
 from repro.analysis.experiments import EXPERIMENTS, accepted_kwargs, run_experiment
 from repro.runtime.cache import ResultCache
 from repro.runtime.workqueue import WorkQueue
+from repro.server import server as server_module
 from repro.server.client import ReproClient, ServerError
 from repro.server.protocol import encode_message
 from repro.server.server import ReproServer
@@ -40,6 +41,22 @@ def test_ping_roundtrip(make_server):
     with ReproClient(host=host, port=port) as client:
         response = client.ping()
         assert response["ok"] and response["protocol"] == 1
+
+
+def test_server_connections_disable_nagle(make_server, monkeypatch):
+    """Small ``accepted``/``result`` writes must not wait on the client's delayed ACK."""
+    nodelay: List[int] = []
+    original_setup = server_module._Handler.setup
+
+    def recording_setup(handler):
+        original_setup(handler)
+        nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    monkeypatch.setattr(server_module._Handler, "setup", recording_setup)
+    _, host, port = make_server()
+    with ReproClient(host=host, port=port) as client:
+        client.ping()
+    assert len(nodelay) == 1 and nodelay[0] != 0
 
 
 def test_submit_streams_result_over_the_wire(make_server):
