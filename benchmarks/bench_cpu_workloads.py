@@ -40,7 +40,7 @@ def _run_kernels(typical_corner_bus):
     for name in KERNEL_NAMES:
         traced = kernel_bus_trace(name, n_cycles=KERNEL_CYCLES, seed=BENCH_SEED)
         result = system.run(
-            typical_corner_bus.analyze(traced.trace.values),
+            typical_corner_bus.analyze(traced.trace),
             warmup_cycles=KERNEL_CYCLES // 2,
         )
         gains[name] = result.energy_gain_percent

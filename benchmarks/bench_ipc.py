@@ -23,7 +23,7 @@ from conftest import BENCH_CYCLES, BENCH_RAMP, BENCH_SEED, BENCH_WINDOW
 
 def _error_mask_of_dvs_run(typical_corner_bus):
     trace = generate_benchmark_trace("vortex", n_cycles=BENCH_CYCLES, seed=BENCH_SEED)
-    stats = typical_corner_bus.analyze(trace.values)
+    stats = typical_corner_bus.analyze(trace)
     system = DVSBusSystem(
         typical_corner_bus, window_cycles=BENCH_WINDOW, ramp_delay_cycles=BENCH_RAMP
     )

@@ -79,7 +79,7 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
     trace = source.materialize(packed=True)
     lanes = lanes_from_packed(trace.packed_values)
     transitions = transitions_from_values(trace.values)
-    stats = bus.analyze_trace(trace)
+    stats = bus.analyze(trace)
 
     def run_feed() -> None:
         system = DVSBusSystem(bus)
@@ -100,8 +100,8 @@ def run_benchmarks(cycles: int, seed: int, repeats: int) -> Dict[str, dict]:
         "coupling_weights_vectorized": lambda: block_coupling_energy_weights(
             lanes, topology
         ),
-        "analyze_chunk_scalar": lambda: bus.analyze_trace(trace, engine="scalar"),
-        "analyze_chunk_vectorized": lambda: bus.analyze_trace(
+        "analyze_chunk_scalar": lambda: bus.analyze(trace, engine="scalar"),
+        "analyze_chunk_vectorized": lambda: bus.analyze(
             trace, engine="vectorized"
         ),
         "dvs_feed": run_feed,

@@ -37,7 +37,7 @@ def main() -> None:
     design = BusDesign.paper_bus()
     bus = CharacterizedBus(design, TYPICAL_CORNER)
     trace = generate_benchmark_trace("vortex", n_cycles=N_CYCLES, seed=SEED)
-    stats = bus.analyze(trace.values)
+    stats = bus.analyze(trace)
 
     studies = [
         run_window_length_sensitivity(bus, stats, window_lengths=(500, 1_000, 2_000, 5_000)),

@@ -56,7 +56,7 @@ def main() -> None:
         kernel = get_kernel(name)
         traced = kernel_bus_trace(name, n_cycles=N_CYCLES, seed=SEED)
         result = system.run(
-            bus.analyze(traced.trace.values), warmup_cycles=N_CYCLES // 2
+            bus.analyze(traced.trace), warmup_cycles=N_CYCLES // 2
         )
         gains[name] = result.energy_gain_percent
         print(

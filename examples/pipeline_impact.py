@@ -53,7 +53,7 @@ def main() -> None:
     design = BusDesign.paper_bus()
     bus = CharacterizedBus(design, TYPICAL_CORNER)
     trace = generate_benchmark_trace("vortex", n_cycles=N_CYCLES, seed=SEED)
-    stats = bus.analyze(trace.values)
+    stats = bus.analyze(trace)
 
     system = DVSBusSystem(bus, window_cycles=2_000, ramp_delay_cycles=600)
     result = system.run(stats, keep_cycle_voltage=True)

@@ -36,7 +36,7 @@ def main() -> None:
     # 3. Generate a synthetic memory-read trace (the crafty profile) and run
     #    both the conventional baseline and the proposed closed-loop DVS.
     trace = generate_benchmark_trace("crafty", n_cycles=300_000, seed=1)
-    stats = bus.analyze(trace.values)
+    stats = bus.analyze(trace)
 
     fixed = evaluate_fixed_scaling(bus, stats)
     print(
@@ -57,7 +57,7 @@ def main() -> None:
     #    nothing, while the error-tolerant bus still recovers some slack from
     #    the program's benign switching patterns.
     worst_bus = CharacterizedBus(design, WORST_CASE_CORNER)
-    worst_stats = worst_bus.analyze(trace.values)
+    worst_stats = worst_bus.analyze(trace)
     worst_fixed = evaluate_fixed_scaling(worst_bus, worst_stats)
     worst_result = DVSBusSystem(worst_bus).run(worst_stats, warmup_cycles=150_000)
     print(

@@ -297,7 +297,7 @@ def _run_ipc(n_cycles: int = 60_000, seed: int = 2005) -> tuple[Any, str]:
 
     bus = CharacterizedBus(BusDesign.paper_bus(), TYPICAL_CORNER)
     trace = generate_benchmark_trace("vortex", n_cycles=n_cycles, seed=seed)
-    stats = bus.analyze(trace.values)
+    stats = bus.analyze(trace)
     system = DVSBusSystem(
         bus, window_cycles=max(500, n_cycles // 30), ramp_delay_cycles=max(150, n_cycles // 100)
     )
@@ -343,7 +343,7 @@ def _run_sensitivity(n_cycles: int = 150_000, seed: int = 2005) -> tuple[Any, st
 
     bus = CharacterizedBus(BusDesign.paper_bus(), TYPICAL_CORNER)
     trace = generate_benchmark_trace("vortex", n_cycles=n_cycles, seed=seed)
-    stats = bus.analyze(trace.values)
+    stats = bus.analyze(trace)
     studies = [
         run_window_length_sensitivity(bus, stats, window_lengths=(500, 1_000, 2_000, 5_000)),
         run_ramp_delay_sensitivity(bus, stats),

@@ -125,7 +125,7 @@ def run_modified_bus_study(
         total_errors = 0
         total_cycles = 0
         for trace in workloads.values():
-            stats = bus.analyze(trace.values)
+            stats = bus.analyze(trace)
             warmup = int(warmup_fraction * stats.n_cycles)
             run = system.run(stats, warmup_cycles=warmup)
             total_energy += run.energy.total_with_recovery

@@ -140,7 +140,7 @@ def _prepare(
     workload: BusTrace | TraceStatistics, bus: CharacterizedBus
 ) -> tuple[TraceStatistics, str]:
     if isinstance(workload, BusTrace):
-        return bus.analyze(workload.values), workload.name
+        return bus.analyze(workload), workload.name
     return workload, "workload"
 
 
@@ -240,13 +240,20 @@ def run_shadow_delay_sensitivity(
     to the point where the short-path (hold) constraint of Section 2 would be
     violated, which is why the paper stops at 33 %.
     """
-    points = []
-    workload_name = workload.name
+    buses = []
     for fraction in shadow_fractions:
         check_fraction("shadow delay fraction", fraction)
         clocking = replace(design.clocking, shadow_delay_fraction=fraction)
-        bus = CharacterizedBus(design.with_clocking(clocking), corner)
-        stats = bus.analyze(workload.values)
+        buses.append(CharacterizedBus(design.with_clocking(clocking), corner))
+    assert all(
+        bus.design.topology is design.topology for bus in buses
+    ), "clocking must not change the bus topology"
+    if not buses:
+        return SensitivityStudy("shadow-latch clock delay", corner, workload.name, ())
+    # Clocking moves the deadlines, not the coupling classes: classify once.
+    stats = buses[0].analyze(workload)
+    points = []
+    for fraction, bus in zip(shadow_fractions, buses):
         system = DVSBusSystem(
             bus, window_cycles=window_cycles, ramp_delay_cycles=ramp_delay_cycles
         )
@@ -263,6 +270,6 @@ def run_shadow_delay_sensitivity(
     return SensitivityStudy(
         parameter="shadow-latch clock delay",
         corner=corner,
-        workload_name=workload_name,
+        workload_name=workload.name,
         points=tuple(points),
     )

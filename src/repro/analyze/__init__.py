@@ -10,8 +10,8 @@ runtime stakes its correctness on:
   flows into ``JobSpec.key`` (with content-hash folding for file-backed
   parameters) or is annotated ``# repro: key-irrelevant``;
 * **lock discipline** (LCK*) -- attributes guarded by an instance lock are
-  never touched without it, and foreign code is never invoked while the
-  lock is held.
+  never touched without it, foreign code is never invoked while the lock is
+  held, and no branch under the lock rests on a read taken before it.
 
 Run it with ``python -m repro analyze`` (see ``--list-rules``); suppress a
 deliberate violation in place with ``# repro: noqa[RULE] reason`` and park

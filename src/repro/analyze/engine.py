@@ -155,6 +155,15 @@ RULE_CATALOG: tuple[RuleInfo, ...] = (
         "unbounded critical sections; call it outside, or justify with a "
         "suppression",
     ),
+    RuleInfo(
+        "LCK004",
+        "check-then-act across the lock boundary",
+        "a value read from shared state before taking the lock can go stale "
+        "before the lock is held; branching on it under the lock acts on a "
+        "check another thread has already invalidated (the WorkQueue.submit "
+        "dedupe race, a result-cache read before the lock, was this shape).  "
+        "Re-read it under the lock",
+    ),
 )
 
 _RULE_IDS = frozenset(info.id for info in RULE_CATALOG)

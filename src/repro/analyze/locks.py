@@ -1,4 +1,4 @@
-"""Lock-discipline race detector (LCK001-LCK003).
+"""Lock-discipline race detector (LCK001-LCK004).
 
 Purely syntactic lock inference over one class at a time:
 
@@ -19,6 +19,12 @@ Purely syntactic lock inference over one class at a time:
    callables (``__init__`` parameters stored on ``self``), and callback-ish
    channel methods (``.push``/``._push``/``.emit``/...) on non-lock receivers
    (LCK003).
+5. **Check-then-act** -- a local bound *before* ``with self._lock:`` from
+   shared state (a guarded attribute, or a query on a collaborator held in
+   ``self.X`` such as ``self._cache.get(key)``) that gates a branch inside
+   the lock without being re-read there (LCK004).  Another thread can change
+   that state between the read and the lock, so the branch acts on a stale
+   check.
 
 Nested function bodies are skipped entirely: a closure defined under the
 lock may run anywhere, so neither "locked" nor "unlocked" is a safe
@@ -328,6 +334,75 @@ class _ClassModel:
         )
         return accesses, guarded
 
+    # -------------------------------------------------------------- #
+    # Check-then-act (LCK004)
+    # -------------------------------------------------------------- #
+    def _shared_read(self, expr: ast.expr, guarded: frozenset[str]) -> str | None:
+        """The shared attribute ``expr`` reads: guarded state or a collaborator query."""
+        for node in ast.walk(expr):
+            attr = _self_attr(node)
+            if attr is not None and attr in guarded:
+                return attr
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                receiver = _self_attr(node.func.value)
+                if receiver is not None and receiver not in self.locks:
+                    return receiver
+        return None
+
+    def stale_checks(
+        self,
+        body: list[ast.stmt],
+        guarded: frozenset[str],
+        snapshots: dict[str, tuple[str, ast.stmt]] | None = None,
+    ) -> Iterator[tuple[str, str, ast.stmt]]:
+        """``(local, attr, binding)`` for each check-then-act in ``body``.
+
+        Walks the unlocked statements in order; ``snapshots`` maps each local
+        read from shared state to that attribute and its binding statement.
+        """
+        if snapshots is None:
+            snapshots = {}
+        for statement in body:
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if isinstance(statement, ast.With) and any(
+                self._is_lock_context(item) for item in statement.items
+            ):
+                inside = [node for child in statement.body for node in ast.walk(child)]
+                rebound = {
+                    node.id
+                    for node in inside
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                }
+                gating = {
+                    name.id
+                    for node in inside
+                    if isinstance(node, (ast.If, ast.While, ast.IfExp))
+                    for name in ast.walk(node.test)
+                    if isinstance(name, ast.Name)
+                }
+                for local, (attr, binding) in snapshots.items():
+                    if local in gating and local not in rebound:
+                        yield local, attr, binding
+                continue
+            if isinstance(statement, (ast.Assign, ast.AnnAssign)) and statement.value:
+                source = self._shared_read(statement.value, guarded)
+                targets = (
+                    statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                )
+                for target in targets:
+                    for node in ast.walk(target):
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                            if source is None:
+                                snapshots.pop(node.id, None)
+                            else:
+                                snapshots[node.id] = (source, statement)
+                continue
+            for field in ("body", "orelse", "finalbody"):
+                yield from self.stale_checks(getattr(statement, field, []), guarded, snapshots)
+            for handler in getattr(statement, "handlers", []):
+                yield from self.stale_checks(handler.body, guarded, snapshots)
+
 
 def check(project: Project, config: AnalysisConfig) -> Iterator[Finding]:
     """Run the race detector over every lock-owning class in the project."""
@@ -340,6 +415,20 @@ def check(project: Project, config: AnalysisConfig) -> Iterator[Finding]:
             if not model.locks:
                 continue
             accesses, guarded = model.analyze()
+            for name, method in model.methods.items():
+                if name == "__init__":
+                    continue
+                for local, attr, binding in model.stale_checks(method.body, guarded):
+                    yield Finding(
+                        rule="LCK004",
+                        path=source.rel_path,
+                        line=binding.lineno,
+                        col=binding.col_offset + 1,
+                        message=f"check-then-act in {node.name}.{name}: '{local}' is read "
+                        f"from 'self.{attr}' before the lock is taken and gates a branch "
+                        "under the lock; another thread can change it in between, so "
+                        "re-read it while holding the lock",
+                    )
             for access in accesses:
                 if access.method == "__init__":
                     continue

@@ -72,7 +72,7 @@ class SchemeComparison:
 def _combine(bus: CharacterizedBus, traces: Sequence[BusTrace]) -> TraceStatistics:
     combined: TraceStatistics | None = None
     for trace in traces:
-        stats = bus.analyze(trace.values)
+        stats = bus.analyze(trace)
         combined = stats if combined is None else combined.concatenate(stats)
     if combined is None:
         raise ValueError("need at least one trace to compare schemes on")

@@ -117,7 +117,7 @@ class TraceStatistics:
 
     @property
     def mean_toggle_rate(self) -> float:
-        """Average fraction of a 32-bit word switching per cycle (diagnostic)."""
+        """Average number of switching wires per cycle, as in :class:`TraceSummary`."""
         return float(np.mean(self.toggles))
 
     def summarize(self) -> TraceSummary:
@@ -271,7 +271,7 @@ def analyze_trace_statistics(
     """Per-cycle statistics of a trace over a wiring topology.
 
     This is the kernel dispatch behind
-    :meth:`CharacterizedBus.analyze_trace`, factored to module level because
+    :meth:`CharacterizedBus.analyze`, factored to module level because
     it depends only on the (tiny, picklable) :class:`NeighborTopology` -- the
     parallel engine's worker processes call it without ever materialising a
     characterised bus.  With the default ``engine="vectorized"`` (which
@@ -391,27 +391,17 @@ class CharacterizedBus:
     # ------------------------------------------------------------------ #
     # Trace analysis
     # ------------------------------------------------------------------ #
-    def analyze(self, values: np.ndarray) -> TraceStatistics:
+    def analyze(self, trace: BusTrace | np.ndarray, engine: str | None = None) -> TraceStatistics:
         """Compute voltage-independent per-cycle statistics of a data trace.
 
-        ``values`` is an array of shape ``(n_cycles + 1, n_bits)`` of 0/1 bus
-        words (the convention used by :class:`repro.trace.trace.BusTrace`).
+        ``trace`` is a :class:`BusTrace` (pass it whole: a packed trace then
+        skips an unpack/repack) or a 0/1 ``(n_cycles + 1, n_bits)`` array.
+        :func:`analyze_trace_statistics` runs the integer-lane block kernels,
+        falling back to the scalar reference kernels for buses wider than 64
+        wires or big-endian hosts; every ``engine`` is bit-identical.
         """
-        transitions = transitions_from_values(values)
-        topology = self.design.topology
-        return TraceStatistics(
-            worst_coupling=worst_coupling_factor_per_cycle(transitions, topology),
-            toggles=toggle_counts(transitions),
-            coupling_weights=coupling_energy_weights(transitions, topology),
-        )
-
-    def analyze_trace(self, trace: BusTrace, engine: str | None = None) -> TraceStatistics:
-        """:meth:`analyze` for a :class:`BusTrace`, choosing a kernel engine.
-
-        Delegates to the module-level :func:`analyze_trace_statistics`, which
-        carries the full kernel-dispatch contract (bit-identical engines,
-        scalar fallback for unsupported configurations).
-        """
+        if not isinstance(trace, BusTrace):
+            trace = BusTrace(values=trace)
         return analyze_trace_statistics(trace, self.design.topology, engine=engine)
 
     def iter_statistics(
@@ -446,8 +436,9 @@ class CharacterizedBus:
             # cannot represent this bus) want small cache-resident chunks;
             # size by the path actually taken, not the requested name.
             chunk_cycles = default_chunk_cycles(engine if packed else ENGINE_SCALAR)
+        topology = self.design.topology
         for chunk in source.chunks(chunk_cycles, packed=packed):
-            yield self.analyze_trace(chunk.trace, engine=engine), chunk.start_cycle
+            yield analyze_trace_statistics(chunk.trace, topology, engine), chunk.start_cycle
 
     def summarize(
         self,

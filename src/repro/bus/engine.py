@@ -30,7 +30,7 @@ Every layer that turns bus words into per-cycle statistics accepts an
     worker count is a separate ``jobs`` argument; with one worker (or in
     environments without process pools) the two-pass pipeline runs inline,
     still bit-identical.  Layers that only compute per-chunk statistics
-    (e.g. :meth:`~repro.bus.bus_model.CharacterizedBus.analyze_trace`) treat
+    (e.g. :meth:`~repro.bus.bus_model.CharacterizedBus.analyze`) treat
     ``"parallel"`` as the vectorized kernels via :func:`kernel_engine`.
 
 ``None`` always means "the default engine", so callers can thread an optional

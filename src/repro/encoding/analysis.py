@@ -205,7 +205,7 @@ def run_encoding_study(
 
     # Reference: the unencoded trace on the reference bus at nominal supply.
     reference_bus = CharacterizedBus(design, corner)
-    reference_stats = reference_bus.analyze(trace.values)
+    reference_stats = reference_bus.analyze(trace)
     reference_energy = reference_bus.nominal_energy(reference_stats).total_with_recovery
 
     buses: dict[int, CharacterizedBus] = {design.n_bits: reference_bus}
@@ -223,7 +223,7 @@ def run_encoding_study(
         if n_wires not in buses:
             buses[n_wires] = CharacterizedBus(design_for_width(design, n_wires), corner)
         bus = buses[n_wires]
-        stats = bus.analyze(encoded.values)
+        stats = bus.analyze(encoded)
 
         nominal = bus.nominal_energy(stats).total_with_recovery
         system = DVSBusSystem(

@@ -16,8 +16,9 @@ from repro.analysis import (
     run_technology_scaling_study,
 )
 from repro.analysis.static_scaling import combine_statistics
-from repro.circuit.pvt import TYPICAL_CORNER, WORST_CASE_CORNER
-from repro.trace import generate_suite
+from repro.circuit.pvt import STANDARD_CORNERS, TYPICAL_CORNER, WORST_CASE_CORNER
+from repro.trace import generate_suite, suite_sources
+from tests.core.test_table1_corners import CountingSource
 
 N_CYCLES = 30_000
 SEED = 11
@@ -80,6 +81,44 @@ class TestCornerGainStudy:
         study = run_corner_gain_study(paper_design, mini_suite, targets=(0.02,))
         typical_gain = study.points[2].gains_percent[0.02]
         assert 25.0 < typical_gain < 50.0
+
+
+class TestCornerStudyClassifiesOnce:
+    """Coupling classes do not depend on the corner: one pass over the suite."""
+
+    def test_each_trace_is_analyzed_once(self, paper_design, mini_suite, analyze_calls):
+        study = run_corner_gain_study(paper_design, mini_suite, targets=(0.0, 0.02))
+        assert len(study.points) == len(STANDARD_CORNERS) == 5
+        # Once per trace (not once per corner), and the trace itself is passed.
+        assert len(analyze_calls) == len(mini_suite)
+        assert {id(trace) for trace in analyze_calls} == {
+            id(trace) for trace in mini_suite.values()
+        }
+
+    def test_each_source_is_walked_once(self, paper_design):
+        sources = {
+            name: CountingSource(source)
+            for name, source in suite_sources(
+                names=("crafty", "vortex", "mgrid"), n_cycles=N_CYCLES, seed=SEED
+            ).items()
+        }
+        study = run_corner_gain_study(paper_design, sources, targets=(0.0, 0.02))
+        assert len(study.points) == 5
+        assert {name: source.chunk_calls for name, source in sources.items()} == {
+            name: 1 for name in sources
+        }
+
+    def test_shared_statistics_match_per_corner_studies(self, paper_design, mini_suite):
+        corners = {index: STANDARD_CORNERS[index] for index in (1, 3)}
+        joint = run_corner_gain_study(paper_design, mini_suite, corners=corners)
+        singles = [
+            run_corner_gain_study(paper_design, mini_suite, corners={index: corner}).points[0]
+            for index, corner in corners.items()
+        ]
+        assert joint.points == tuple(singles)
+
+    def test_no_corners_give_an_empty_study(self, paper_design, mini_suite):
+        assert run_corner_gain_study(paper_design, mini_suite, corners={}).points == ()
 
 
 class TestOracleResidencyStudy:

@@ -101,6 +101,21 @@ class TestShadowDelaySensitivity:
         assert long.minimum_voltage <= short.minimum_voltage + 1e-12
         assert long.energy_gain_percent >= short.energy_gain_percent - 0.5
 
+    def test_trace_is_analyzed_once_for_every_clocking(
+        self, paper_design, vortex_trace, analyze_calls
+    ):
+        study = run_shadow_delay_sensitivity(
+            paper_design, vortex_trace, shadow_fractions=(0.10, 0.20, 0.33, 0.45)
+        )
+        assert len(study.points) == 4
+        assert len(analyze_calls) == 1
+        assert analyze_calls[0] is vortex_trace
+
+    def test_no_fractions_give_an_empty_study(self, paper_design, vortex_trace):
+        study = run_shadow_delay_sensitivity(paper_design, vortex_trace, shadow_fractions=())
+        assert study.points == ()
+        assert study.workload_name == vortex_trace.name
+
 
 class TestFormatting:
     def test_report_contains_every_row(self, typical_corner_bus, vortex_stats):

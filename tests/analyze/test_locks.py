@@ -1,4 +1,4 @@
-"""Lock-discipline race detector (LCK001-LCK003): guarded state and callbacks."""
+"""Lock-discipline race detector (LCK001-LCK004): guarded state, callbacks, stale checks."""
 
 from __future__ import annotations
 
@@ -35,4 +35,21 @@ def test_lck_good_is_clean():
     """Locked helpers, *_locked convention, callbacks hoisted out: no findings."""
     report = analyze_fixture("lck_good")
     assert _lck(report) == []
+    assert report.findings == []
+
+
+def test_lck004_flags_reads_before_the_lock_that_gate_branches_under_it():
+    report = analyze_fixture("lck_cta_bad")
+    findings = _lck(report)
+    assert [finding.rule for finding in findings] == ["LCK004", "LCK004"]
+    submit, resubmit = findings
+    # The cache read itself, and a value derived from one.
+    assert "DedupeQueue.submit: 'cached' is read from 'self._cache'" in submit.message
+    assert "DedupeQueue.resubmit: 'hit' is read from 'self._cache'" in resubmit.message
+    assert report.findings == findings
+
+
+def test_lck004_accepts_a_re_read_under_the_lock():
+    """Double-checked re-read, read-under-lock, ungating and config reads: clean."""
+    report = analyze_fixture("lck_cta_good")
     assert report.findings == []

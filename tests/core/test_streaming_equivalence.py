@@ -79,22 +79,22 @@ class TestChunkedStatistics:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_packed_analysis_matches_unpacked(self, typical_corner_bus, crafty_trace, engine):
-        unpacked = typical_corner_bus.analyze_trace(crafty_trace, engine=engine)
-        packed = typical_corner_bus.analyze_trace(crafty_trace.pack(), engine=engine)
+        unpacked = typical_corner_bus.analyze(crafty_trace, engine=engine)
+        packed = typical_corner_bus.analyze(crafty_trace.pack(), engine=engine)
         np.testing.assert_array_equal(packed.worst_coupling, unpacked.worst_coupling)
         np.testing.assert_array_equal(packed.toggles, unpacked.toggles)
         np.testing.assert_array_equal(packed.coupling_weights, unpacked.coupling_weights)
 
     def test_engines_produce_identical_statistics(self, typical_corner_bus, crafty_trace):
-        scalar = typical_corner_bus.analyze_trace(crafty_trace, engine="scalar")
-        vectorized = typical_corner_bus.analyze_trace(crafty_trace, engine="vectorized")
+        scalar = typical_corner_bus.analyze(crafty_trace, engine="scalar")
+        vectorized = typical_corner_bus.analyze(crafty_trace, engine="vectorized")
         np.testing.assert_array_equal(vectorized.worst_coupling, scalar.worst_coupling)
         np.testing.assert_array_equal(vectorized.toggles, scalar.toggles)
         np.testing.assert_array_equal(vectorized.coupling_weights, scalar.coupling_weights)
 
     def test_unknown_engine_is_rejected(self, typical_corner_bus, crafty_trace):
         with pytest.raises(ValueError, match="unknown engine"):
-            typical_corner_bus.analyze_trace(crafty_trace, engine="simd")
+            typical_corner_bus.analyze(crafty_trace, engine="simd")
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_width_mismatch_is_rejected_by_both_engines(self, typical_corner_bus, engine):
@@ -102,7 +102,7 @@ class TestChunkedStatistics:
 
         narrow = BusTrace(values=np.zeros((10, 16), dtype=np.uint8))
         with pytest.raises(ValueError, match="does not match topology"):
-            typical_corner_bus.analyze_trace(narrow, engine=engine)
+            typical_corner_bus.analyze(narrow, engine=engine)
 
     @pytest.mark.parametrize("chunk_cycles", CHUNK_SIZES)
     def test_summary_is_chunk_invariant(self, typical_corner_bus, crafty_trace, chunk_cycles):
