@@ -47,12 +47,6 @@ PUBLIC_MODULES = (
     "repro.runtime.tasks",
     "repro.runtime.parallel",
     "repro.runtime.workqueue",
-    "repro.chardb",
-    "repro.chardb.format",
-    "repro.chardb.builder",
-    "repro.chardb.database",
-    "repro.chardb.active",
-    "repro.chardb.design_codec",
     "repro.server",
     "repro.server.protocol",
     "repro.server.service",
@@ -128,6 +122,9 @@ def _describe_constant(value: object) -> str:
     kilobytes of embedded source and function objects) summarise as their
     size and keys so the page stays reviewable.
     """
+    if inspect.ismodule(value):
+        # A module's repr embeds its file path, which depends on the checkout.
+        return f"Submodule `{value.__name__}`."
     text = _stable_repr(value)
     if len(text) <= MAX_CONSTANT_REPR:
         return f"Constant of type `{type(value).__name__}`: `{text}`."

@@ -462,10 +462,6 @@ def run_experiment(
         in-memory study object.
     kwargs:
         Forwarded to the experiment runner (``n_cycles``, ``seed``, ...).
-        A ``chardb`` keyword is handled here rather than by the runners: it
-        activates the named characterization database around the run (see
-        :mod:`repro.chardb`), and on the cached path it joins the job params
-        so ``JobSpec.key`` content-addresses the database file.
 
     Examples
     --------
@@ -484,19 +480,12 @@ def run_experiment(
     if identifier not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(f"unknown experiment {identifier!r}; known: {known}")
-    chardb = kwargs.pop("chardb", None)
     if cache is None:
-        if chardb is None:
-            return EXPERIMENTS[identifier].run(**kwargs)
-        from repro.chardb import use_chardb
-
-        with use_chardb(chardb):
-            return EXPERIMENTS[identifier].run(**kwargs)
+        return EXPERIMENTS[identifier].run(**kwargs)
 
     from repro.runtime.executor import run_jobs
 
-    job_kwargs = dict(kwargs) if chardb is None else {**kwargs, "chardb": chardb}
-    report = run_jobs([EXPERIMENTS[identifier].job(**job_kwargs)], cache=cache)
+    report = run_jobs([EXPERIMENTS[identifier].job(**kwargs)], cache=cache)
     outcome = report.outcomes[0]
     record = dict(outcome.result)
     record["cached"] = outcome.cached

@@ -15,7 +15,7 @@ statically, in three steps:
 3. **Prove each parameter**: a parameter is accounted for when the key
    blankets all params or names it selectively (CKS001 otherwise), and a
    parameter that reaches a *file-reading sink* -- ``open``, ``numpy.load``,
-   the workload/chardb resolvers, or a same-module helper that does --
+   the workload resolvers, or a same-module helper that does --
    must additionally be content-fingerprinted in the key, because hashing
    the path string alone replays stale results after the file changes
    (CKS002).  ``# repro: key-irrelevant`` on the parameter's own line in the
@@ -49,16 +49,10 @@ _FILE_SINKS = frozenset(
         "json.load",
         "pathlib.Path",
         # Repo-specific content resolvers: these read external artifacts whose
-        # content must be fingerprinted into the key (workload_fingerprint /
-        # chardb_fingerprint exist precisely for them).
+        # content must be fingerprinted into the key (workload_fingerprint
+        # exists precisely for them).
         "repro.trace.workloads.resolve_workload",
         "repro.trace.workloads.workload_fingerprint",
-        "repro.chardb.use_chardb",
-        "repro.chardb.active.use_chardb",
-        "repro.chardb.chardb_fingerprint",
-        "repro.chardb.database.chardb_fingerprint",
-        "repro.chardb.CharacterizationDatabase",
-        "repro.chardb.database.CharacterizationDatabase",
     }
 )
 
@@ -189,7 +183,7 @@ def _function_params(function: ast.FunctionDef) -> list[ast.arg]:
 
 #: Keyword names through which a path reaches a sink (positional arg 0 is
 #: always the path; other keywords -- seeds, cycle counts -- are not).
-_PATH_KEYWORDS = frozenset({"path", "file", "filename", "spec", "workload", "chardb"})
+_PATH_KEYWORDS = frozenset({"path", "file", "filename", "spec", "workload"})
 
 
 def _direct_sink_params(function: ast.FunctionDef, aliases: dict[str, str]) -> set[str]:
@@ -224,8 +218,8 @@ def _module_functions(source: ModuleSource) -> dict[str, ast.FunctionDef]:
 def _sink_params_with_helpers(source: ModuleSource) -> dict[str, set[str]]:
     """Per-function file-reaching parameters, propagated through same-module helpers.
 
-    ``_chardb_context(chardb)`` calling ``use_chardb(chardb)`` makes the
-    *caller's* ``chardb`` parameter file-reaching too; one fixpoint over the
+    ``_load(workload)`` calling ``resolve_workload(workload)`` makes the
+    *caller's* ``workload`` parameter file-reaching too; one fixpoint over the
     module's call graph carries that through arbitrarily deep helper chains.
     """
     functions = _module_functions(source)
@@ -347,5 +341,5 @@ def check(project: Project, config: AnalysisConfig) -> Iterator[Finding]:
                         message=f"parameter '{param.arg}' of task '{task_name}' names "
                         "file content but JobSpec.key folds only the path "
                         "string; add content-fingerprint folding (like "
-                        "workload/chardb) or annotate '# repro: key-irrelevant'",
+                        "workload) or annotate '# repro: key-irrelevant'",
                     )

@@ -125,7 +125,7 @@ RULE_CATALOG: tuple[RuleInfo, ...] = (
         "CKS002",
         "file-content parameter without content-hash folding",
         "a parameter naming external file content must fold the *content* "
-        "digest into JobSpec.key (like workload/chardb do) or be annotated "
+        "digest into JobSpec.key (like workload does) or be annotated "
         "'# repro: key-irrelevant'; keying on the path string alone replays "
         "stale results after the file is regenerated",
     ),

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from repro.baselines.scheme import SchemeResult, evaluate_static_scheme
 from repro.bus.bus_model import CharacterizedBus, TraceStatistics
+from repro.bus.characterization import characterize_bus
 from repro.circuit.pvt import PVTCorner
 from repro.core.fixed_vs import ASSUMED_WORST_IR_DROP
 
@@ -75,11 +76,7 @@ class CanaryVoltageScaling:
     def select_voltage(self, bus: CharacterizedBus) -> float:
         """Lowest grid supply the replica-based controller would settle at."""
         observable = self.observable_corner(bus.corner)
-        # Db-first, live fallback (lazy import: repro.chardb -> repro.runtime
-        # -> analysis would otherwise circle back into the baselines).
-        from repro.chardb.active import resolve_table
-
-        table = resolve_table(bus.design, observable, bus.grid)
+        table = characterize_bus(bus.design, observable, bus.grid)
         minimum = table.min_voltage_meeting(
             bus.design.clocking.main_deadline, bus.design.topology.max_coupling_factor
         )

@@ -3,7 +3,6 @@
 from repro.bus.bus_design import BusDesign
 from repro.bus.characterization import (
     DEFAULT_MIN_VOLTAGE,
-    characterization_surfaces,
     characterize_bus,
     default_voltage_grid,
 )
@@ -24,7 +23,6 @@ from repro.bus.engine import (
 __all__ = [
     "BusDesign",
     "DEFAULT_MIN_VOLTAGE",
-    "characterization_surfaces",
     "characterize_bus",
     "default_voltage_grid",
     "CharacterizedBus",

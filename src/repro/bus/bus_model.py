@@ -29,7 +29,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.bus.bus_design import BusDesign
-from repro.bus.characterization import default_voltage_grid
+from repro.bus.characterization import characterize_bus, default_voltage_grid
 from repro.bus.engine import (
     ENGINE_PARALLEL,
     ENGINE_SCALAR,
@@ -57,7 +57,6 @@ from repro.trace.stream import TraceSource, as_trace_source
 from repro.trace.trace import BusTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.chardb.database import CharacterizationDatabase
     from repro.runtime.parallel import ParallelChunkScheduler
 
 VoltageLike = float | np.ndarray
@@ -332,10 +331,8 @@ class CharacterizedBus:
         Energy parameters of the receiving double-sampling flip-flop bank.
     table:
         Optional pre-built delay/energy table for exactly this (design,
-        corner, grid).  When omitted, the table is resolved through the
-        active characterization database first (see :mod:`repro.chardb`) and
-        falls back to live characterization — the two are bit-identical by
-        construction, so callers never observe which path ran.
+        corner, grid).  When omitted, the bus is characterised live with
+        :func:`~repro.bus.characterization.characterize_bus`.
     """
 
     def __init__(
@@ -356,36 +353,9 @@ class CharacterizedBus:
                 )
             self.table: DelayEnergyTable = table
         else:
-            self.table = self._resolve_table(corner)
+            self.table = characterize_bus(design, corner, self.grid)
         self.flipflop_energy = (
             flipflop_energy if flipflop_energy is not None else FlipFlopEnergyParams()
-        )
-
-    def _resolve_table(self, corner: PVTCorner) -> DelayEnergyTable:
-        """Surfaces for this design at ``corner``: active chardb first, else live."""
-        from repro.chardb.active import resolve_table
-
-        return resolve_table(self.design, corner, self.grid)
-
-    @classmethod
-    def from_database(
-        cls,
-        database: CharacterizationDatabase,
-        corner: PVTCorner,
-        n_bits: int = 32,
-        coupling_scale: float = 1.0,
-        flipflop_energy: FlipFlopEnergyParams | None = None,
-    ) -> CharacterizedBus:
-        """A ready-to-simulate bus assembled purely from stored surfaces.
-
-        Both the design (including its already-sized repeater chain) and the
-        delay/energy table come out of the database — the circuit models and
-        the repeater sizing flow are never invoked.  The equivalence suite
-        (``tests/chardb``) holds the result bit-identical to live
-        characterization.
-        """
-        return database.bus(
-            corner, n_bits=n_bits, coupling_scale=coupling_scale, flipflop_energy=flipflop_energy
         )
 
     # ------------------------------------------------------------------ #
@@ -561,12 +531,12 @@ class CharacterizedBus:
         corner while conservatively assuming worst-case temperature and IR
         drop; pass ``assumed_corner`` to reproduce that policy, otherwise the
         characterised corner itself is used.  A different assumed corner is
-        resolved like the main table: active chardb first, live fallback.
+        characterised live on the bus grid, like the main table.
         """
         if assumed_corner is None or assumed_corner == self.corner:
             table = self.table
         else:
-            table = self._resolve_table(assumed_corner)
+            table = characterize_bus(self.design, assumed_corner, self.grid)
         return table.min_voltage_meeting(
             self.design.clocking.shadow_deadline, self.design.topology.max_coupling_factor
         )

@@ -87,20 +87,3 @@ def characterize_bus(
         },
     )
 
-
-#: The per-voltage surfaces of a characterization, in canonical export order.
-SURFACE_NAMES = ("base_delay", "coupling_delay", "leakage_power")
-
-
-def characterization_surfaces(table: DelayEnergyTable) -> dict[str, np.ndarray]:
-    """The table's surfaces as canonical little-endian float64 arrays.
-
-    This is the circuit layer's serialisation contract with
-    :mod:`repro.chardb`: one contiguous ``<f8`` array per surface in
-    :data:`SURFACE_NAMES` order, exactly as characterised — no rounding, no
-    re-sampling — so a database round trip is bit-exact by construction.
-    """
-    return {
-        name: np.ascontiguousarray(getattr(table, name), dtype="<f8")
-        for name in SURFACE_NAMES
-    }

@@ -31,10 +31,6 @@ the reproduction can be driven without writing a script:
   server and stream its result (bit-identical to ``run``, same cache keys),
 * ``python -m repro jobs [--stats|--cancel JOB|--shutdown]`` -- inspect or
   control a running server,
-* ``python -m repro chardb build`` -- bake the delay/error/energy surfaces
-  for every standard (corner x width x coupling) combination into the
-  committed ``chardb/paper.chardb`` artifact (``inspect`` and ``verify``
-  examine it; ``build --check`` is the CI drift gate),
 * ``python -m repro kernels`` -- the mini-CPU kernels available as workloads,
 * ``python -m repro trace --workload cpu:memcopy --out m.npz`` -- generate,
   inspect or save any registered workload trace (``trace --list`` shows the
@@ -62,25 +58,15 @@ directly.
 ``PATH.jsonl`` (the event/counter log) plus ``PATH.trace.json`` (Chrome
 trace-event format, loadable in Perfetto) at exit, along with an end-of-run
 summary on stderr.  Telemetry is otherwise disabled and costs nothing.
-
-``--chardb PATH`` (global, and on the commands that characterise buses)
-activates a prebuilt characterization database for the whole command: every
-surface lookup resolves from the file instead of the circuit models, worker
-processes inherit it through ``$REPRO_CHARDB``, and ``run``/``sweep``/
-``submit`` fold the file's content hash into their cache keys.  Results are
-bit-identical with or without it -- the database only removes the
-characterization latency.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -156,6 +142,29 @@ def _parallel_jobs_error(engine: str | None, jobs: int | None) -> int | None:
     return None
 
 
+def _count(minimum: int):
+    """An argparse ``type`` for an integer count of at least ``minimum``.
+
+    A bad value becomes a one-line usage error (exit 2) at parse time rather
+    than a traceback from deep inside the simulator.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+#: Cycle counts, chunk sizes, windows and worker counts.
+_positive = _count(1)
+
+
 def _add_corner_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--corner",
@@ -181,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_runtime_flags(target: argparse.ArgumentParser, top_level: bool) -> None:
         target.add_argument(
             "--jobs",
-            type=int,
+            type=_positive,
             metavar="N",
             default=1 if top_level else argparse.SUPPRESS,
             help="worker processes (sweep/report cache misses, or the parallel "
@@ -201,17 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="bypass the result cache entirely (always simulate)",
         )
         add_telemetry_flag(target, top_level)
-        add_chardb_flag(target, top_level)
-
-    def add_chardb_flag(target: argparse.ArgumentParser, top_level: bool) -> None:
-        target.add_argument(
-            "--chardb",
-            metavar="PATH",
-            default=None if top_level else argparse.SUPPRESS,
-            help="characterization database (.chardb file) to resolve "
-            "delay/error/energy surfaces from instead of the circuit models; "
-            "results are bit-identical (build one with 'repro chardb build')",
-        )
 
     def add_telemetry_flag(target: argparse.ArgumentParser, top_level: bool) -> None:
         target.add_argument(
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_workload_flags(target: argparse.ArgumentParser, top_level: bool) -> None:
         target.add_argument(
             "--cycles",
-            type=int,
+            type=_positive,
             metavar="N",
             default=None if top_level else argparse.SUPPRESS,
             help="cycles per benchmark (experiments default to the paper's 10M "
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         target.add_argument(
             "--chunk-cycles",
-            type=int,
+            type=_positive,
             metavar="M",
             default=None if top_level else argparse.SUPPRESS,
             help="streaming chunk size (results are bit-identical for any value)",
@@ -361,32 +359,30 @@ def build_parser() -> argparse.ArgumentParser:
     # the paper's 10M cycles (override with --cycles for a longer look).
     profile_parser.add_argument(
         "--cycles",
-        type=int,
+        type=_positive,
         default=argparse.SUPPRESS,
         metavar="N",
         help="cycles per benchmark (default 50000 -- bounded, unlike 'run')",
     )
     profile_parser.add_argument(
-        "--chunk-cycles", type=int, default=argparse.SUPPRESS, help="streaming chunk size"
+        "--chunk-cycles", type=_positive, default=argparse.SUPPRESS, help="streaming chunk size"
     )
     profile_parser.add_argument(
         "--engine", choices=ENGINES, default=argparse.SUPPRESS, help="kernel engine"
     )
     profile_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive,
         metavar="N",
         default=argparse.SUPPRESS,
         help="worker processes for the parallel statistics pass",
     )
     add_telemetry_flag(profile_parser, top_level=False)
-    add_chardb_flag(profile_parser, top_level=False)
 
     characterize_parser = subparsers.add_parser(
         "characterize", help="delay and error behaviour of the bus over the voltage grid"
     )
     _add_corner_argument(characterize_parser)
-    add_chardb_flag(characterize_parser, top_level=False)
 
     simulate_parser = subparsers.add_parser(
         "simulate", help="one closed-loop DVS run on a single workload"
@@ -405,26 +401,32 @@ def build_parser() -> argparse.ArgumentParser:
     # subcommand: a subparser default would overwrite the already-parsed
     # top-level value.  The handler applies the 200k fallback.
     simulate_parser.add_argument(
-        "--cycles", type=int, default=argparse.SUPPRESS, help="cycles to simulate (default 200000)"
+        "--cycles",
+        type=_positive,
+        default=argparse.SUPPRESS,
+        help="cycles to simulate (default 200000)",
     )
     simulate_parser.add_argument(
-        "--chunk-cycles", type=int, default=argparse.SUPPRESS, help="streaming chunk size"
+        "--chunk-cycles", type=_positive, default=argparse.SUPPRESS, help="streaming chunk size"
     )
     simulate_parser.add_argument(
         "--engine", choices=ENGINES, default=argparse.SUPPRESS, help="kernel engine"
     )
     simulate_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive,
         metavar="N",
         default=argparse.SUPPRESS,
         help="worker processes for the parallel statistics pass",
     )
     simulate_parser.add_argument("--seed", type=int, default=2005)
-    simulate_parser.add_argument("--window", type=int, default=10_000, help="error window (cycles)")
-    simulate_parser.add_argument("--ramp", type=int, default=3_000, help="regulator ramp (cycles)")
+    simulate_parser.add_argument(
+        "--window", type=_positive, default=10_000, help="error window (cycles)"
+    )
+    simulate_parser.add_argument(
+        "--ramp", type=_count(0), default=3_000, help="regulator ramp (cycles)"
+    )
     add_telemetry_flag(simulate_parser, top_level=False)
-    add_chardb_flag(simulate_parser, top_level=False)
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -492,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress progress lines on stderr"
     )
     add_workload_flags(submit_parser, top_level=False)
-    add_chardb_flag(submit_parser, top_level=False)
 
     jobs_parser = subparsers.add_parser(
         "jobs", help="inspect or control a running 'repro serve' (list/stats/cancel/shutdown)"
@@ -523,38 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corner_argument(compare_parser)
     compare_parser.add_argument(
         "--cycles",
-        type=int,
+        type=_positive,
         default=argparse.SUPPRESS,
         help="cycles per benchmark (default 30000)",
     )
     compare_parser.add_argument("--seed", type=int, default=2005)
-    add_chardb_flag(compare_parser, top_level=False)
-
-    chardb_parser = subparsers.add_parser(
-        "chardb",
-        help="build, inspect or verify the characterization database "
-        "(docs/chardb_format.md specifies the file format)",
-    )
-    chardb_parser.add_argument(
-        "action",
-        choices=("build", "inspect", "verify"),
-        help="build: characterise the standard grid and write the artifact; "
-        "inspect: print the header/index summary; verify: recheck the "
-        "content hash and every entry's extents",
-    )
-    chardb_parser.add_argument(
-        "path",
-        nargs="?",
-        default=None,
-        metavar="PATH",
-        help="database file (default: chardb/paper.chardb)",
-    )
-    chardb_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="with 'build': rebuild in memory and fail if PATH differs "
-        "byte-for-byte (the CI drift gate); nothing is written",
-    )
 
     subparsers.add_parser("kernels", help="list the mini-CPU kernels usable as workloads")
 
@@ -582,12 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument(
         "--cycles",
-        type=int,
+        type=_positive,
         default=argparse.SUPPRESS,
         help="trace length for generative workloads (default 20000)",
     )
     trace_parser.add_argument(
-        "--chunk-cycles", type=int, default=argparse.SUPPRESS, help="streaming chunk size"
+        "--chunk-cycles", type=_positive, default=argparse.SUPPRESS, help="streaming chunk size"
     )
     trace_parser.add_argument("--seed", type=int, default=2005, help="workload seed")
     trace_parser.add_argument(
@@ -614,8 +588,7 @@ def _command_list() -> int:
 
 def _command_run(experiment: str, cycles: int | None, chunk_cycles: int | None,
                  engine: str | None, seed: int, cache: ResultCache | None,
-                 workload: str | None = None, jobs: int | None = None,
-                 chardb: str | None = None) -> int:
+                 workload: str | None = None, jobs: int | None = None) -> int:
     runner = EXPERIMENTS[experiment].runner
     requested = {
         "n_cycles": cycles,
@@ -642,9 +615,7 @@ def _command_run(experiment: str, cycles: int | None, chunk_cycles: int | None,
             )
     started = time.perf_counter()
     try:
-        # ``chardb`` bypasses accepted_kwargs: run_experiment handles it for
-        # every runner (activation around the run, cache-key folding).
-        record, text = run_experiment(experiment, cache=cache, chardb=chardb, **kwargs)
+        record, text = run_experiment(experiment, cache=cache, **kwargs)
     except WorkloadError as error:
         # Bad --workload specs only (unknown names, mixed bus widths);
         # anything else propagates as the genuine failure it is.
@@ -669,7 +640,6 @@ def _command_sweep(
     cycles: int | None = None,
     chunk_cycles: int | None = None,
     engine: str | None = None,
-    chardb: str | None = None,
 ) -> int:
     if list_sweeps or name is None:
         width = max(len(sweep_name) for sweep_name in SWEEPS)
@@ -695,10 +665,6 @@ def _command_sweep(
             )
             overridden.append(spec.with_params(**overrides) if overrides else spec)
         specs = tuple(overridden)
-    if chardb is not None:
-        # Every registered task accepts a ``chardb`` param; carrying it in
-        # the spec folds the file's content hash into each cache key.
-        specs = tuple(spec.with_params(chardb=str(chardb)) for spec in specs)
     progress = ProgressPrinter(quiet=quiet)
     report = run_jobs(specs, cache=cache, n_workers=jobs, progress=progress)
     print(format_sweep_report(sweep, report))
@@ -843,102 +809,6 @@ def _command_cache(
     removed = cache.clear()
     print(f"removed {removed} cached file(s) from {cache.root}")
     return 0
-
-
-def _print_chardb_summary(summary: dict) -> None:
-    print(f"Characterization database {summary['path']}")
-    print(f"  schema version : {summary['schema']}")
-    print(f"  size           : {summary['bytes']} bytes")
-    print(f"  content hash   : {summary['content_hash']}")
-    print(f"  entries        : {summary['entries']} "
-          f"({summary['designs']} distinct designs)")
-    print(f"  bus widths     : {', '.join(str(width) for width in summary['widths'])} bits")
-    print("  coupling scale : "
-          + ", ".join(f"{scale:g}" for scale in summary["coupling_scales"]))
-    print(f"  corners        : {len(summary['corners'])}")
-    for corner in summary["corners"]:
-        print(f"    {corner['process']:<8} {corner['temperature_c']:>5.0f} C  "
-              f"{corner['ir_drop'] * 100:>4.0f}% IR drop")
-
-
-def _command_chardb(action: str, path: str | None, check: bool) -> int:
-    from repro.chardb import (
-        DEFAULT_DB_PATH,
-        CharacterizationDatabase,
-        ChardbError,
-        build_database_bytes,
-        default_build_spec,
-    )
-
-    target = Path(path) if path is not None else Path(DEFAULT_DB_PATH)
-    if action == "build":
-        started = time.perf_counter()
-        payload = build_database_bytes(default_build_spec())
-        elapsed = time.perf_counter() - started
-        if check:
-            on_disk = target.read_bytes() if target.exists() else None
-            if on_disk != payload:
-                detail = (
-                    "file is missing"
-                    if on_disk is None
-                    else f"{len(on_disk)} bytes on disk != {len(payload)} rebuilt"
-                )
-                print(
-                    f"error: {target} is stale ({detail}); regenerate it with "
-                    "'python -m repro chardb build'",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"{target} is up to date ({len(payload)} bytes, rebuilt in {elapsed:.2f} s)")
-            return 0
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(payload)
-        print(f"wrote {target} in {elapsed:.2f} s")
-        with CharacterizationDatabase.open(target) as database:
-            _print_chardb_summary(database.summary())
-        return 0
-    try:
-        database = CharacterizationDatabase.open(target)
-    except (OSError, ChardbError) as error:
-        print(f"error: cannot open {target}: {error}", file=sys.stderr)
-        return 2
-    with database:
-        if action == "verify":
-            try:
-                database.verify()
-            except ChardbError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 1
-            print(f"{target} OK: {len(database)} entries, "
-                  f"content hash {database.fingerprint[:16]}... verified")
-            return 0
-        _print_chardb_summary(database.summary())
-    return 0
-
-
-@contextmanager
-def _chardb_env(path: str | None) -> Iterator[None]:
-    """Export ``--chardb`` as ``$REPRO_CHARDB`` for the command's duration.
-
-    The environment variable (rather than an in-process override) is what
-    lets executor / work-queue / server worker processes inherit the
-    database.  The previous value is restored on exit so in-process callers
-    of :func:`main` (the tests) see no lasting state change.
-    """
-    if path is None:
-        yield
-        return
-    from repro.chardb.active import ENV_VAR
-
-    previous = os.environ.get(ENV_VAR)
-    os.environ[ENV_VAR] = str(path)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = previous
 
 
 def _command_characterize(corner_name: str) -> int:
@@ -1104,7 +974,6 @@ def _command_submit(
     host: str | None,
     port: int | None,
     quiet: bool,
-    chardb: str | None = None,
 ) -> int:
     from repro.server import ReproClient, ServerError
 
@@ -1120,11 +989,7 @@ def _command_submit(
         },
     )
     # The exact JobSpec a local cached run would use, so the server dedupes
-    # and caches under the same content-addressed key.  The chardb path is
-    # resolved to an absolute one because the server process opens it from
-    # its own working directory.
-    if chardb is not None:
-        kwargs["chardb"] = os.path.abspath(chardb)
+    # and caches under the same content-addressed key.
     spec = EXPERIMENTS[experiment].job(**kwargs)
     host, port = _server_address(host, port)
     started = time.perf_counter()
@@ -1339,23 +1204,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
-    chardb = getattr(args, "chardb", None)
-    with _chardb_env(chardb):
-        if chardb is not None and args.command != "chardb":
-            # Fail fast: a requested database that cannot be opened must not
-            # silently degrade into live characterization.
-            from repro.chardb import ChardbError, get_active_chardb
-
-            try:
-                get_active_chardb()
-            except ChardbError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-        return _run_command(args)
-
-
-def _run_command(args: argparse.Namespace) -> int:
-    """Set up the cache and telemetry, then dispatch to the command handler."""
     cache: ResultCache | None = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir if args.cache_dir is not None else default_cache_dir())
@@ -1403,7 +1251,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
             cache,
             workload=args.workload,
             jobs=args.jobs,
-            chardb=args.chardb,
         )
     if args.command == "sweep":
         return _command_sweep(
@@ -1417,7 +1264,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
             cycles=args.cycles,
             chunk_cycles=args.chunk_cycles,
             engine=args.engine,
-            chardb=args.chardb,
         )
     if args.command == "report":
         return _command_report(
@@ -1486,10 +1332,7 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache | None) -> int:
             args.host,
             args.port,
             args.quiet,
-            chardb=args.chardb,
         )
-    if args.command == "chardb":
-        return _command_chardb(args.action, args.path, args.check)
     if args.command == "jobs":
         return _command_jobs(args.host, args.port, args.stats, args.cancel, args.shutdown)
     if args.command == "compare-schemes":

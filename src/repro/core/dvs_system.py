@@ -374,9 +374,7 @@ class DVSBusSystem:
     Parameters
     ----------
     bus:
-        Characterised bus at the PVT corner being simulated (either live or
-        loaded via :meth:`CharacterizedBus.from_database` -- the two are
-        bit-identical).
+        Characterised bus at the PVT corner being simulated.
     policy:
         Voltage-control policy; defaults to the paper's 1 %/2 % bang-bang
         policy with 20 mV steps.
@@ -390,9 +388,7 @@ class DVSBusSystem:
         *process* corner, which is the only corner attribute the paper allows
         the floor to be tuned with.  The derivation probes
         :meth:`CharacterizedBus.minimum_safe_voltage` at (process, 100 C,
-        10 % IR drop); the standard characterization database bakes these
-        floor corners in, so ``--chardb`` runs never re-enter the circuit
-        models here either.
+        10 % IR drop), which characterises the bus at that corner.
     """
 
     def __init__(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.bus.bus_model import CharacterizedBus, TraceStatistics, TraceSummary
+from repro.bus.characterization import characterize_bus
 from repro.circuit.lookup_table import VoltageGrid
 from repro.circuit.pvt import ProcessCorner, PVTCorner
 from repro.energy.accounting import EnergyBreakdown
@@ -68,13 +69,7 @@ def fixed_scaling_voltage(
     assumed_corner = PVTCorner(
         process_corner, ASSUMED_WORST_TEMPERATURE_C, ASSUMED_WORST_IR_DROP
     )
-    # Db-first like every other surface lookup: the assumed-margin corner is
-    # part of the standard database grid, so --chardb runs never re-enter the
-    # circuit models here either.  (Imported lazily: repro.chardb pulls in
-    # repro.runtime, which circles back into the analysis layer.)
-    from repro.chardb.active import resolve_table
-
-    table = resolve_table(bus.design, assumed_corner, grid if grid is not None else bus.grid)
+    table = characterize_bus(bus.design, assumed_corner, grid if grid is not None else bus.grid)
     return table.min_voltage_meeting(
         bus.design.clocking.main_deadline, bus.design.topology.max_coupling_factor
     )

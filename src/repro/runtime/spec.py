@@ -66,11 +66,6 @@ class JobSpec:
         matter which entry point (CLI run, sweep grid, direct ``JobSpec``)
         created the job.  Generative workload specs are pure functions of
         spec and seed, so for them the spec string alone is the identity.
-
-        A ``chardb`` parameter is content-addressed the same way: the
-        database file's content hash (:func:`repro.chardb.chardb_fingerprint`)
-        joins the identity, not just its path, so results computed against a
-        stale or rebuilt characterization database are never replayed.
         """
         from repro import __version__
 
@@ -86,13 +81,6 @@ class JobSpec:
             fingerprint = workload_fingerprint(workload)
             if fingerprint is not None:
                 identity["workload_fingerprint"] = fingerprint
-        chardb = self.params.get("chardb")
-        if isinstance(chardb, str):
-            from repro.chardb import chardb_fingerprint
-
-            db_fingerprint = chardb_fingerprint(chardb)
-            if db_fingerprint is not None:
-                identity["chardb_fingerprint"] = db_fingerprint
         return stable_hash(identity)
 
     @property

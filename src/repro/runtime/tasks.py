@@ -168,11 +168,7 @@ def _characterized_bus(
 
     A sweep revisits the same handful of (corner, width, coupling)
     combinations hundreds of times, so each worker process resolves each
-    combination exactly once.  The construction itself goes through the
-    bus layer's table resolver: with an active characterization database
-    (:mod:`repro.chardb`) the surfaces come out of the memory-mapped
-    artifact; otherwise the live models run.  Both paths are bit-identical,
-    so the memo never needs to key on the database.
+    combination exactly once; the bus layer characterises it live.
     """
     from repro.bus import BusDesign, CharacterizedBus
     from repro.encoding.analysis import design_for_width
@@ -197,24 +193,6 @@ def _control_defaults(n_cycles: int, window: int | None, ramp: int | None):
     return window, ramp
 
 
-def _chardb_context(chardb: str | None):
-    """Explicit characterization-database activation for one task body.
-
-    ``None`` leaves the ambient database (the ``REPRO_CHARDB`` environment
-    variable, inherited by worker processes) in effect.  A path activates
-    that database for the duration of the task — the parameter also rides in
-    the job params, where ``JobSpec.key`` content-addresses the file so cached
-    results follow the artifact, not the path string.
-    """
-    if chardb is None:
-        from contextlib import nullcontext
-
-        return nullcontext()
-    from repro.chardb import use_chardb
-
-    return use_chardb(chardb)
-
-
 # --------------------------------------------------------------------------- #
 # Built-in tasks
 # --------------------------------------------------------------------------- #
@@ -233,7 +211,6 @@ def dvs_run(
     engine: str | None = None,
     jobs: int | None = None,
     workload: str | None = None,
-    chardb: str | None = None,
 ) -> dict[str, Any]:
     """One closed-loop DVS run: workload x corner x encoding x bus variant.
 
@@ -273,17 +250,16 @@ def dvs_run(
         source = EncodedTraceSource(source, encoder_obj)
         n_wires = source.n_bits
 
-    with _chardb_context(chardb):
-        bus = _characterized_bus(_corner_key(corner), n_wires, coupling_scale)
-        # Size the control-loop heuristics from the trace actually streamed:
-        # file-backed workload specs keep their recorded length, which can differ
-        # from the n_cycles parameter (generative sources make the two equal).
-        window, ramp = _control_defaults(source.n_cycles, window_cycles, ramp_delay_cycles)
-        system = DVSBusSystem(bus, window_cycles=window, ramp_delay_cycles=ramp)
-        warmup = int(warmup_fraction * source.n_cycles)
-        result = system.run(
-            source, warmup_cycles=warmup, chunk_cycles=chunk_cycles, engine=engine, jobs=jobs
-        )
+    bus = _characterized_bus(_corner_key(corner), n_wires, coupling_scale)
+    # Size the control-loop heuristics from the trace actually streamed:
+    # file-backed workload specs keep their recorded length, which can differ
+    # from the n_cycles parameter (generative sources make the two equal).
+    window, ramp = _control_defaults(source.n_cycles, window_cycles, ramp_delay_cycles)
+    system = DVSBusSystem(bus, window_cycles=window, ramp_delay_cycles=ramp)
+    warmup = int(warmup_fraction * source.n_cycles)
+    result = system.run(
+        source, warmup_cycles=warmup, chunk_cycles=chunk_cycles, engine=engine, jobs=jobs
+    )
 
     return {
         "benchmark": workload if workload is not None else benchmark,
@@ -307,22 +283,20 @@ def dvs_run(
 def characterize(
     corner: CornerLike = "typical",
     coupling_scale: float | None = None,
-    chardb: str | None = None,
 ) -> dict[str, Any]:
     """Voltage limits of the paper bus at one corner (no workload)."""
-    with _chardb_context(chardb):
-        bus = _characterized_bus(_corner_key(corner), 32, coupling_scale)
-        clocking = bus.design.clocking
-        floor_corner = PVTCorner(resolve_corner(corner).process, 100.0, 0.10)
-        return {
-            "corner": resolve_corner(corner).label,
-            "coupling_scale": coupling_scale if coupling_scale is not None else 1.0,
-            "clock_ghz": clocking.frequency / 1e9,
-            "main_deadline_ps": clocking.main_deadline * 1e12,
-            "shadow_deadline_ps": clocking.shadow_deadline * 1e12,
-            "zero_error_voltage_mv": bus.zero_error_voltage() * 1000.0,
-            "regulator_floor_mv": bus.minimum_safe_voltage(floor_corner) * 1000.0,
-        }
+    bus = _characterized_bus(_corner_key(corner), 32, coupling_scale)
+    clocking = bus.design.clocking
+    floor_corner = PVTCorner(resolve_corner(corner).process, 100.0, 0.10)
+    return {
+        "corner": resolve_corner(corner).label,
+        "coupling_scale": coupling_scale if coupling_scale is not None else 1.0,
+        "clock_ghz": clocking.frequency / 1e9,
+        "main_deadline_ps": clocking.main_deadline * 1e12,
+        "shadow_deadline_ps": clocking.shadow_deadline * 1e12,
+        "zero_error_voltage_mv": bus.zero_error_voltage() * 1000.0,
+        "regulator_floor_mv": bus.minimum_safe_voltage(floor_corner) * 1000.0,
+    }
 
 
 @task("experiment")
@@ -343,12 +317,7 @@ def experiment(identifier: str, **kwargs: Any) -> dict[str, Any]:
     except KeyError:
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(f"unknown experiment {identifier!r}; known: {known}") from None
-    # The database rides in the job params (so JobSpec.key content-addresses
-    # it) but is activated ambiently rather than forwarded: experiment runners
-    # build their buses through the bus layer's resolver, not a parameter.
-    chardb = kwargs.pop("chardb", None)
-    with _chardb_context(chardb):
-        result, text = entry.runner(**kwargs)
+    result, text = entry.runner(**kwargs)
     payload = experiment_payload(identifier, result)
     return {
         "identifier": identifier,

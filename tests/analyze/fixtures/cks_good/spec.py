@@ -2,7 +2,7 @@
 
 A blanket fold of the whole params mapping, the code version, the task name,
 and content-fingerprint folding for the one parameter that names an external
-file (mirroring the real workload/chardb folds).
+file (mirroring the real workload fold).
 """
 
 import hashlib

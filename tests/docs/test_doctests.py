@@ -27,9 +27,6 @@ DOCTEST_MODULES = (
     "repro.report",
     "repro.report.reference",
     "repro.report.builder",
-    "repro.chardb",
-    "repro.chardb.format",
-    "repro.chardb.design_codec",
 )
 
 

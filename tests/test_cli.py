@@ -35,6 +35,28 @@ class TestParser:
             build_parser().parse_args(["characterize", "--corner", "mars"])
         assert "mars" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["--cycles", "0", "run", "table1"], "argument --cycles: must be >= 1, got 0"),
+            (["run", "table1", "--chunk-cycles", "0"], "argument --chunk-cycles: must be >= 1"),
+            (["simulate", "--window", "0"], "argument --window: must be >= 1, got 0"),
+            (["simulate", "--ramp", "-1"], "argument --ramp: must be >= 0, got -1"),
+            (["--jobs", "0", "run", "table1"], "argument --jobs: must be >= 1, got 0"),
+            (["--jobs", "-1", "list"], "argument --jobs: must be >= 1, got -1"),
+            (["simulate", "--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+            (["compare-schemes", "--cycles", "-5"], "argument --cycles: must be >= 1"),
+            (["simulate", "--cycles", "many"], "argument --cycles: invalid int value: 'many'"),
+        ],
+    )
+    def test_bad_counts_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_corner_aliases_cover_the_figure5_corners(self):
         assert {"worst", "typical", "best"} <= set(CORNERS)
         assert {"corner1", "corner5"} <= set(CORNERS)
